@@ -57,9 +57,10 @@ const CRASH_SHARDS: usize = 4;
 /// Item frames shard 0's worker emits before the chaos kill lands.
 const CRASH_KILL_AFTER_FRAMES: u64 = 3;
 
-/// Synthetic training pairs for the cell's self-contained coach. Worker
-/// processes re-derive the coach from the job spec on every attempt
-/// (including the post-crash restart), so training must stay cheap.
+/// Synthetic training pairs for the cell's self-contained coach. The
+/// supervised run trains it once in the parent and ships a snapshot to
+/// every worker attempt; the in-process gold trains it again. The value
+/// is part of the recorded result (`train_pairs`), so it stays fixed.
 const CRASH_TRAIN_PAIRS: u32 = 400;
 
 fn storm_breaker() -> BreakerPolicy {

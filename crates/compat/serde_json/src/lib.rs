@@ -212,9 +212,15 @@ fn write_string(out: &mut String, s: &str) {
 
 // ---- parsing --------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts, as in the real crate:
+/// arbitrary input must come back as an error, not a stack overflow.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parses JSON text into a [`Value`] tree.
@@ -222,6 +228,7 @@ pub fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -293,11 +300,21 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -462,6 +479,18 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!(
+            "{}{}",
+            "[".repeat(RECURSION_LIMIT),
+            "]".repeat(RECURSION_LIMIT)
+        );
+        assert!(parse_value(&ok).is_ok());
+        let deep = "[{\"a\":".repeat(100_000);
+        assert!(parse_value(&deep).is_err());
+    }
 
     #[test]
     fn round_trips_nested_values() {

@@ -8,12 +8,17 @@
 //! aligned pairs and accumulates copy mass from near-identity ones.
 
 use crate::alpha::select_alpha;
-use coachlm_expert::revision::RevisionRecord;
+use coachlm_data::generator::{generate, GeneratorConfig};
+use coachlm_expert::filter::preliminary_filter;
+use coachlm_expert::pool::ExpertPool;
+use coachlm_expert::revision::{ExpertReviser, RevisionRecord};
 use coachlm_lm::adapter::{Adapter, AdapterConfig};
 use coachlm_lm::backbone::{Backbone, BackboneKind};
 use coachlm_lm::transducer::{RevisionOutcome, Transducer};
+use coachlm_text::fxhash::FxHasher;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::hash::Hasher;
 
 /// The Fig 3 revision prompt wrapped around an input pair.
 pub fn revision_prompt(instruction: &str, response: &str) -> String {
@@ -46,13 +51,61 @@ impl Default for CoachConfig {
     }
 }
 
+/// A deterministic training recipe for a CoachLM: synthetic corpus →
+/// preliminary filter → expert revision records → [`CoachLm::train`].
+///
+/// The recipe is a coach's identity; a [`CoachLm::snapshot`] is its
+/// result. Training the same recipe twice yields the same model, so a
+/// snapshot tagged with its recipe can stand in for training it again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CoachTrainSpec {
+    /// Seed for the synthetic training corpus and the expert reviser.
+    pub seed: u64,
+    /// Synthetic training pairs to generate.
+    pub pairs: u32,
+}
+
+impl CoachTrainSpec {
+    /// Runs the recipe: the coach it yields remembers the recipe (see
+    /// [`CoachLm::recipe`]).
+    pub fn train(self) -> CoachLm {
+        let (d, _) = generate(&GeneratorConfig::small(self.pairs as usize, self.seed));
+        let kept = preliminary_filter(&d, self.seed).kept;
+        let records =
+            ExpertReviser::new(self.seed).revise_dataset(&ExpertPool::paper_pool(), &d, &kept);
+        let mut coach = CoachLm::train(CoachConfig::default(), &records);
+        coach.trained.recipe = Some(self);
+        coach
+    }
+}
+
+/// Leading bytes of a [`CoachLm::snapshot`]: format name and version.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"CLMSNAP1";
+
+/// Everything training produces: what a snapshot holds. The frozen
+/// backbone is left out; `Backbone::load(config.backbone)` rebuilds it.
+#[derive(Debug, Serialize, Deserialize)]
+struct Trained {
+    config: CoachConfig,
+    adapter: Adapter,
+    trained_ids: Vec<u64>,
+    recipe: Option<CoachTrainSpec>,
+}
+
 /// A trained CoachLM: θ_c = frozen backbone + trained adapter.
 #[derive(Debug)]
 pub struct CoachLm {
-    config: CoachConfig,
     backbone: Backbone,
-    adapter: Adapter,
-    trained_ids: Vec<u64>,
+    trained: Trained,
+}
+
+/// Checksum over a snapshot body and its length: Fx mixing is a bijection
+/// per word, so any single flipped bit changes it.
+fn snapshot_checksum(body: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(body);
+    h.write_usize(body.len());
+    h.finish()
 }
 
 impl CoachLm {
@@ -74,27 +127,68 @@ impl CoachLm {
         }
         adapter.finalize();
         Self {
-            config,
             backbone,
-            adapter,
-            trained_ids,
+            trained: Trained {
+                config,
+                adapter,
+                trained_ids,
+                recipe: None,
+            },
         }
+    }
+
+    /// Serialises the trained state — config, adapter, `C_α` ids and the
+    /// recipe it came from — as `magic ‖ checksum ‖ JSON`.
+    /// [`CoachLm::from_snapshot`] restores a coach that revises exactly
+    /// like this one: every rule-set access is a keyed lookup or sorts
+    /// first, so a rule map rebuilt in another order changes nothing.
+    pub fn snapshot(&self) -> Vec<u8> {
+        // The vendored encoder cannot fail; were it to, the empty body
+        // would be refused by `from_snapshot` rather than misread.
+        let body = serde_json::to_string(&self.trained).unwrap_or_default();
+        let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 8 + body.len());
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.extend_from_slice(&snapshot_checksum(body.as_bytes()).to_le_bytes());
+        out.extend_from_slice(body.as_bytes());
+        out
+    }
+
+    /// Inverse of [`CoachLm::snapshot`]; `None` on a wrong magic, a
+    /// checksum mismatch (truncated or flipped bytes) or a body that does
+    /// not decode.
+    pub fn from_snapshot(bytes: &[u8]) -> Option<CoachLm> {
+        let rest = bytes.strip_prefix(SNAPSHOT_MAGIC)?;
+        let (sum, body) = rest.split_first_chunk::<8>()?;
+        if u64::from_le_bytes(*sum) != snapshot_checksum(body) {
+            return None;
+        }
+        let trained: Trained = serde_json::from_str(std::str::from_utf8(body).ok()?).ok()?;
+        Some(CoachLm {
+            backbone: Backbone::load(trained.config.backbone),
+            trained,
+        })
+    }
+
+    /// The recipe this coach was trained from, if it came from
+    /// [`CoachTrainSpec::train`] (directly or through a snapshot).
+    pub fn recipe(&self) -> Option<CoachTrainSpec> {
+        self.trained.recipe
     }
 
     /// Ids of the pairs in the training subset `C_α` (the §III-B1 leakage
     /// rule keeps these pairs' originals at inference).
     pub fn trained_ids(&self) -> &[u64] {
-        &self.trained_ids
+        &self.trained.trained_ids
     }
 
     /// The training configuration.
     pub fn config(&self) -> &CoachConfig {
-        &self.config
+        &self.trained.config
     }
 
     /// Number of training examples after α selection.
     pub fn trained_on(&self) -> usize {
-        self.trained_ids.len()
+        self.trained.trained_ids.len()
     }
 
     /// The underlying backbone.
@@ -104,12 +198,12 @@ impl CoachLm {
 
     /// The trained adapter.
     pub fn adapter(&self) -> &Adapter {
-        &self.adapter
+        &self.trained.adapter
     }
 
     /// Probability an applicable repair fires at decode time.
     pub fn apply_probability(&self) -> f64 {
-        Transducer::new(&self.backbone, &self.adapter).apply_probability()
+        Transducer::new(&self.backbone, &self.trained.adapter).apply_probability()
     }
 
     /// Revises one instruction pair (beam size 1, §III-A3).
@@ -119,17 +213,17 @@ impl CoachLm {
         instruction: &str,
         response: &str,
     ) -> RevisionOutcome {
-        Transducer::new(&self.backbone, &self.adapter).revise_pair(rng, instruction, response)
+        Transducer::new(&self.backbone, &self.trained.adapter).revise_pair(
+            rng,
+            instruction,
+            response,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coachlm_data::generator::{generate, GeneratorConfig};
-    use coachlm_expert::filter::preliminary_filter;
-    use coachlm_expert::pool::ExpertPool;
-    use coachlm_expert::revision::ExpertReviser;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -259,6 +353,84 @@ mod tests {
             out.instruction
         );
         assert!(!out.repairs.is_empty());
+    }
+
+    #[test]
+    fn snapshot_round_trip_revises_identically() {
+        use crate::infer::revise_dataset;
+        use coachlm_runtime::ExecutorConfig;
+        let recipe = CoachTrainSpec {
+            seed: 11,
+            pairs: 400,
+        };
+        let coach = recipe.train();
+        let restored = CoachLm::from_snapshot(&coach.snapshot()).expect("round trip");
+        assert_eq!(restored.recipe(), Some(recipe));
+        assert_eq!(restored.config(), coach.config());
+        assert_eq!(restored.trained_ids(), coach.trained_ids());
+        assert_eq!(restored.snapshot(), coach.snapshot());
+
+        let (d, _) = generate(&GeneratorConfig::small(300, 12));
+        let config = ExecutorConfig::new(5).threads(2);
+        let digest = |c: &CoachLm| {
+            serde_json::to_string(&revise_dataset(c, &d, &config)).expect("revised dataset json")
+        };
+        assert_eq!(digest(&restored), digest(&coach));
+    }
+
+    #[test]
+    fn damaged_snapshots_are_refused() {
+        let coach = CoachLm::train(CoachConfig::default(), &expert_records(300, 13));
+        assert_eq!(coach.recipe(), None);
+        let good = coach.snapshot();
+        assert!(CoachLm::from_snapshot(&good).is_some());
+        assert!(CoachLm::from_snapshot(&[]).is_none());
+        for cut in [
+            1,
+            SNAPSHOT_MAGIC.len(),
+            SNAPSHOT_MAGIC.len() + 8,
+            good.len() - 1,
+        ] {
+            assert!(
+                CoachLm::from_snapshot(&good[..cut]).is_none(),
+                "cut at {cut}"
+            );
+        }
+        let mut longer = good.clone();
+        longer.push(b' ');
+        assert!(CoachLm::from_snapshot(&longer).is_none());
+        // Flip one bit at positions spread over magic, checksum and body.
+        let step = (good.len() / 97).max(1);
+        for (i, at) in (0..good.len()).step_by(step).enumerate() {
+            let mut bad = good.clone();
+            bad[at] ^= 1 << (i % 8);
+            assert!(CoachLm::from_snapshot(&bad).is_none(), "flip at {at}");
+        }
+    }
+
+    #[test]
+    fn resealed_damaged_bodies_never_panic() {
+        // Damage behind a recomputed checksum reaches the JSON decoder.
+        use proptest::prelude::*;
+        let good = CoachLm::train(CoachConfig::default(), &expert_records(200, 14)).snapshot();
+        let body = &good[SNAPSHOT_MAGIC.len() + 8..];
+        let flips = prop::collection::vec(0..body.len(), 1..4);
+        let bytes = prop::collection::vec(0u8..=255, 3..4);
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("resealed_damaged_bodies", case);
+            let mut damaged = body.to_vec();
+            for (at, b) in flips
+                .generate(&mut rng)
+                .into_iter()
+                .zip(bytes.generate(&mut rng))
+            {
+                damaged[at] = b;
+            }
+            let mut sealed = SNAPSHOT_MAGIC.to_vec();
+            sealed.extend_from_slice(&snapshot_checksum(&damaged).to_le_bytes());
+            sealed.extend_from_slice(&damaged);
+            let _ = CoachLm::from_snapshot(&sealed);
+        }
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! is a CPU figure, reported for shape not magnitude).
 
 use crate::baselines::CleanStage;
-use crate::coach::{CoachConfig, CoachLm};
+use crate::coach::CoachLm;
+pub use crate::coach::CoachTrainSpec;
 use crate::infer::CoachReviseStage;
 use coachlm_data::category::TaskClass;
-use coachlm_data::generator::{generate, GeneratorConfig};
 use coachlm_data::pair::Dataset;
 use coachlm_expert::cost::{Throughputs, Workload};
-use coachlm_expert::filter::preliminary_filter;
 use coachlm_expert::pool::ExpertPool;
 use coachlm_expert::revision::ExpertReviser;
 use coachlm_runtime::{
@@ -475,19 +474,6 @@ pub fn run_batch_sharded_journaled(
 /// protocol's job factory (see [`run_batch_supervised`]).
 pub const BATCH_CHAIN: &str = "coachlm/batch-v1";
 
-/// How a supervised worker trains its own CoachLM. Worker processes start
-/// from nothing but the wire bytes, so the coach cannot be shipped — it is
-/// re-derived in each worker from this deterministic training recipe
-/// (synthetic corpus → preliminary filter → expert revision records →
-/// [`CoachLm::train`]), which yields the identical model on every side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoachTrainSpec {
-    /// Seed for the synthetic training corpus and the expert reviser.
-    pub seed: u64,
-    /// Synthetic training pairs to generate.
-    pub pairs: u32,
-}
-
 /// The self-contained parameter block for the [`BATCH_CHAIN`] supervised
 /// chain: everything a worker process needs to rebuild the exact executor
 /// config and stage chain the parent runs.
@@ -497,15 +483,19 @@ pub struct BatchJobSpec {
     pub seed: u64,
     /// Executor worker threads inside each shard process.
     pub threads: u32,
-    /// Train and run the CoachLM revise stage; `None` is the manual batch.
+    /// Recipe of the coach for the CoachLM revise stage; `None` is the
+    /// manual batch.
     pub coach: Option<CoachTrainSpec>,
 }
 
 impl BatchJobSpec {
-    /// Serialises the spec into the opaque `params` bytes of the worker
-    /// protocol's JOB frame (fixed-width little-endian fields).
+    /// Length of [`BatchJobSpec::encode`]'s output.
+    pub const ENCODED_LEN: usize = 25;
+
+    /// Serialises the spec into fixed-width little-endian fields: the head
+    /// of the [`BATCH_CHAIN`] job params (see [`batch_job_factory`]).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25);
+        let mut out = Vec::with_capacity(Self::ENCODED_LEN);
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&self.threads.to_le_bytes());
         match self.coach {
@@ -525,7 +515,7 @@ impl BatchJobSpec {
 
     /// Inverse of [`BatchJobSpec::encode`]; `None` on malformed bytes.
     pub fn decode(bytes: &[u8]) -> Option<BatchJobSpec> {
-        if bytes.len() != 25 {
+        if bytes.len() != Self::ENCODED_LEN {
             return None;
         }
         let seed = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
@@ -548,19 +538,16 @@ impl BatchJobSpec {
     }
 }
 
-/// Trains a CoachLM from the deterministic synthetic recipe — the same
-/// corpus → filter → expert-revision → train path the test suite uses,
-/// parameterised so supervised workers can re-derive the parent's model.
+/// Trains a CoachLM from the deterministic synthetic recipe
+/// [`CoachTrainSpec`]`{ seed, pairs }` — the same corpus → filter →
+/// expert-revision → train path the test suite uses.
 pub fn trained_coach(seed: u64, pairs: u32) -> CoachLm {
-    let (d, _) = generate(&GeneratorConfig::small(pairs as usize, seed));
-    let kept = preliminary_filter(&d, seed).kept;
-    let records = ExpertReviser::new(seed).revise_dataset(&ExpertPool::paper_pool(), &d, &kept);
-    CoachLm::train(CoachConfig::default(), &records)
+    CoachTrainSpec { seed, pairs }.train()
 }
 
 /// The batch pipeline as a process-shippable supervised job: owns the
-/// (re-derived) coach so the borrowed stage chain has something to point
-/// at on the worker side.
+/// coach so the borrowed stage chain has something to point at on the
+/// worker side.
 struct SupervisedBatchJob {
     config: ExecutorConfig,
     coach: Option<CoachLm>,
@@ -580,15 +567,45 @@ impl SupervisedJob for SupervisedBatchJob {
 /// [`BATCH_CHAIN`] job from its wire params. Pass this to
 /// [`coachlm_runtime::worker_boot`] at the top of any binary that calls
 /// [`run_batch_supervised`].
+///
+/// The params are an encoded [`BatchJobSpec`], followed — when the spec
+/// names a coach — by a [`CoachLm::snapshot`] of that coach. The snapshot
+/// is decoded, never retrained, and must carry exactly the spec's recipe.
+/// A bare spec with a coach trains it from the recipe instead. `None` on
+/// malformed params, a snapshot of another recipe, or bytes after a
+/// coach-less spec.
 pub fn batch_job_factory(chain: &str, params: &[u8]) -> Option<Box<dyn SupervisedJob>> {
     if chain != BATCH_CHAIN {
         return None;
     }
-    let spec = BatchJobSpec::decode(params)?;
+    let (head, snapshot) = params.split_at_checked(BatchJobSpec::ENCODED_LEN)?;
+    let spec = BatchJobSpec::decode(head)?;
+    let coach = match spec.coach {
+        None if snapshot.is_empty() => None,
+        None => return None,
+        Some(recipe) if snapshot.is_empty() => Some(recipe.train()),
+        Some(recipe) => {
+            let coach = CoachLm::from_snapshot(snapshot)?;
+            if coach.recipe() != Some(recipe) {
+                return None;
+            }
+            Some(coach)
+        }
+    };
     Some(Box::new(SupervisedBatchJob {
         config: ExecutorConfig::new(spec.seed).threads(spec.threads as usize),
-        coach: spec.coach.map(|c| trained_coach(c.seed, c.pairs)),
+        coach,
     }))
+}
+
+/// The [`BATCH_CHAIN`] job params for `spec`: the encoded spec, then, when
+/// it names a coach, a snapshot of that coach, trained here.
+fn job_params(spec: &BatchJobSpec) -> Vec<u8> {
+    let mut params = spec.encode();
+    if let Some(recipe) = spec.coach {
+        params.extend_from_slice(&recipe.train().snapshot());
+    }
+    params
 }
 
 /// Runs one batch like [`run_batch_sharded`], but with every shard in its
@@ -599,6 +616,11 @@ pub fn batch_job_factory(chain: &str, params: &[u8]) -> Option<Box<dyn Supervise
 /// report is digest-identical to [`run_batch_sharded_journaled`] with the
 /// same spec, and [`ShardedPipelineReport::supervision`] carries the
 /// restart/failover/poison counters.
+///
+/// The coach is trained once, here in the parent, and its
+/// [`CoachLm::snapshot`] rides in the JOB params after the encoded spec,
+/// so the frame checksum covers it. Worker attempts, restarts included,
+/// decode the snapshot instead of training again.
 ///
 /// The calling binary must invoke
 /// [`coachlm_runtime::worker_boot`]`(`[`batch_job_factory`]`)` first thing
@@ -613,7 +635,7 @@ pub fn run_batch_supervised(
     let out = run_sharded_process(
         batch_job_factory,
         BATCH_CHAIN,
-        &spec.encode(),
+        &job_params(spec),
         StreamSource::batch(raw.pairs.clone()),
         shards,
         dir,
@@ -822,6 +844,111 @@ mod tests {
         // An uncached run reports all zeros.
         let uncached = run_batch(None, &raw, &config(13, 4)).unwrap();
         assert_eq!(uncached.revision_cache, CacheStats::default());
+    }
+
+    const SHIPPED: BatchJobSpec = BatchJobSpec {
+        seed: 3,
+        threads: 2,
+        coach: Some(CoachTrainSpec {
+            seed: 6,
+            pairs: 300,
+        }),
+    };
+
+    #[test]
+    fn factory_decodes_a_snapshot_of_the_spec_recipe_only() {
+        let params = job_params(&SHIPPED);
+        let snapshot = &params[BatchJobSpec::ENCODED_LEN..];
+        let job = batch_job_factory(BATCH_CHAIN, &params).expect("spec ‖ snapshot");
+        assert_eq!(job.stages().len(), 3, "the coach stage is in the chain");
+        assert_eq!(job.config().seed(), SHIPPED.seed);
+        assert!(batch_job_factory("other/chain", &params).is_none());
+
+        // A snapshot must carry exactly the spec's recipe.
+        for recipe in [
+            CoachTrainSpec {
+                seed: 7,
+                pairs: 300,
+            },
+            CoachTrainSpec {
+                seed: 6,
+                pairs: 301,
+            },
+        ] {
+            let spec = BatchJobSpec {
+                coach: Some(recipe),
+                ..SHIPPED
+            };
+            let params = [spec.encode().as_slice(), snapshot].concat();
+            assert!(
+                batch_job_factory(BATCH_CHAIN, &params).is_none(),
+                "{recipe:?}"
+            );
+        }
+        let untagged = CoachLm::train(CoachConfig::default(), &[]).snapshot();
+        let params = [SHIPPED.encode(), untagged].concat();
+        assert!(batch_job_factory(BATCH_CHAIN, &params).is_none());
+
+        // A coach-less spec takes no trailing bytes, snapshot or not.
+        let manual = BatchJobSpec {
+            coach: None,
+            ..SHIPPED
+        };
+        let job = batch_job_factory(BATCH_CHAIN, &manual.encode()).expect("manual spec");
+        assert_eq!(job.stages().len(), 2);
+        for tail in [snapshot, &[0u8][..]] {
+            let params = [manual.encode().as_slice(), tail].concat();
+            assert!(batch_job_factory(BATCH_CHAIN, &params).is_none());
+        }
+    }
+
+    #[test]
+    fn factory_still_trains_a_bare_recipe() {
+        let job = batch_job_factory(BATCH_CHAIN, &SHIPPED.encode()).expect("bare spec");
+        assert_eq!(job.stages().len(), 3);
+    }
+
+    #[test]
+    fn decoders_never_panic_on_arbitrary_or_damaged_params() {
+        use proptest::prelude::*;
+        let valid = job_params(&SHIPPED);
+        let arbitrary = prop::collection::vec(0u8..=255, 0..80);
+        let flips = prop::collection::vec(0..valid.len(), 1..4);
+        let masks = prop::collection::vec(1u8..=255, 3..4);
+        let cut = 0..valid.len();
+        // Every decoder sees the bytes; the factory too, unless they are a
+        // bare spec naming a coach, which trains from a recipe that may
+        // ask for billions of pairs (the recipe path has its own test).
+        // Returns whether the factory built a job.
+        let feed = |bytes: &[u8]| {
+            let _ = CoachLm::from_snapshot(bytes);
+            let _ = bytes
+                .get(BatchJobSpec::ENCODED_LEN..)
+                .map(CoachLm::from_snapshot);
+            BatchJobSpec::decode(bytes).is_none_or(|s| s.coach.is_none())
+                && batch_job_factory(BATCH_CHAIN, bytes).is_some()
+        };
+        for case in 0..proptest::cases() {
+            let mut rng = proptest::case_rng("decoders_never_panic", case);
+            feed(&arbitrary.generate(&mut rng));
+
+            let mut flipped = valid.clone();
+            for (at, mask) in flips
+                .generate(&mut rng)
+                .into_iter()
+                .zip(masks.generate(&mut rng))
+            {
+                flipped[at] ^= mask;
+            }
+            // Flipped bytes only decode if every flip landed in the
+            // executor seed or thread count.
+            if feed(&flipped) {
+                assert_eq!(flipped[12..], valid[12..]);
+            }
+
+            let truncated = &valid[..cut.generate(&mut rng)];
+            assert!(!feed(truncated), "{} bytes", truncated.len());
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ use std::path::{Path, PathBuf};
 pub(crate) const JOURNAL_VERSION: u32 = 2;
 
 /// Bytes of frame overhead per record (length prefix + checksum).
-const FRAME_BYTES: u64 = 12;
+pub(crate) const FRAME_BYTES: u64 = 12;
 
 /// Upper bound on a single record's payload, to reject absurd length
 /// prefixes from corrupt files before allocating.

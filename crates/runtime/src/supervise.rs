@@ -88,7 +88,7 @@ use crate::executor::{rekey_trace, ChainOutput, Executor};
 use crate::fault::{FailureKind, FailureRecord, Quarantine};
 use crate::journal::{
     decode_item, encode_item, frame_bytes, scan_frame, Dec, Enc, FrameScan, ItemTrace, Journal,
-    JournalError,
+    JournalError, FRAME_BYTES,
 };
 use crate::shard::{
     merge_outputs, partition_source, validate_sharding, Partitioned, ShardConfigError, ShardStats,
@@ -567,16 +567,18 @@ fn decode_pair(dec: &mut Dec<'_>) -> Option<InstructionPair> {
     })
 }
 
-/// The worker protocol body: parse the job, resume the journal, tee every
-/// committed record onto stdout, run the chain, report completion.
-fn worker_main(factory: JobFactory) -> Result<(), SuperviseError> {
-    let mut input = Vec::new();
-    std::io::stdin().lock().read_to_end(&mut input)?;
+/// Parses the worker's whole stdin: the JOB frame, then PAIR frames up to
+/// END, whose number must equal the job's declared pair count.
+fn read_job(input: &[u8]) -> Result<(JobSpec, Vec<InstructionPair>), SuperviseError> {
     let mut pos = 0usize;
-    let spec = decode_job(take_frame(&input, &mut pos)?)?;
-    let mut pairs = Vec::with_capacity(usize::try_from(spec.pair_count).unwrap_or(0));
+    let spec = decode_job(take_frame(input, &mut pos)?)?;
+    // The declared count is only a hint until the frames are counted: every
+    // pair needs a whole frame header, so the bytes left bound the capacity.
+    let room = (input.len() - pos) / FRAME_BYTES as usize;
+    let mut pairs =
+        Vec::with_capacity(usize::try_from(spec.pair_count).map_or(room, |n| n.min(room)));
     loop {
-        let payload = take_frame(&input, &mut pos)?;
+        let payload = take_frame(input, &mut pos)?;
         let mut dec = Dec::new(payload);
         match dec.u8() {
             Some(KIND_PAIR) => {
@@ -590,6 +592,15 @@ fn worker_main(factory: JobFactory) -> Result<(), SuperviseError> {
     if pairs.len() as u64 != spec.pair_count {
         return Err(protocol("pair count mismatch on worker stdin"));
     }
+    Ok((spec, pairs))
+}
+
+/// The worker protocol body: parse the job, resume the journal, tee every
+/// committed record onto stdout, run the chain, report completion.
+fn worker_main(factory: JobFactory) -> Result<(), SuperviseError> {
+    let mut input = Vec::new();
+    std::io::stdin().lock().read_to_end(&mut input)?;
+    let (spec, pairs) = read_job(&input)?;
 
     let job = factory(&spec.chain, &spec.params)
         .ok_or_else(|| SuperviseError::UnknownChain(spec.chain.clone()))?;
@@ -1269,6 +1280,40 @@ mod tests {
         let mut job = encode_job("c", &[], 0, 1, 0, Path::new("j.wal"), 1, None, 0);
         job.push(0xEE); // trailing garbage in a checksummed frame
         assert!(decode_job(&job).is_err());
+    }
+
+    /// Worker stdin: a JOB frame declaring `declared` pairs, then `sent`
+    /// PAIR frames and END.
+    fn stdin_bytes(declared: u64, sent: u64) -> Vec<u8> {
+        let job = encode_job("c", &[], 0, 1, 0, Path::new("j.wal"), 1, None, declared);
+        let mut input = frame_bytes(&job);
+        for id in 0..sent {
+            input.extend_from_slice(&frame_bytes(&encode_pair(&pair(id))));
+        }
+        input.extend_from_slice(&frame_bytes(&[KIND_END]));
+        input
+    }
+
+    #[test]
+    fn read_job_checks_the_declared_pair_count() {
+        let (spec, pairs) = read_job(&stdin_bytes(3, 3)).expect("exact count");
+        assert_eq!(spec.pair_count, 3);
+        assert_eq!(pairs, (0..3).map(pair).collect::<Vec<_>>());
+        // Fewer frames than declared, and more.
+        assert!(read_job(&stdin_bytes(4, 3)).is_err());
+        assert!(read_job(&stdin_bytes(2, 3)).is_err());
+    }
+
+    #[test]
+    fn read_job_refuses_a_huge_count_without_allocating_for_it() {
+        // A checksum-valid JOB frame may still claim any count; it must come
+        // back as a protocol error, not a capacity-overflow panic.
+        for declared in [1 << 60, u64::MAX] {
+            match read_job(&stdin_bytes(declared, 1)) {
+                Err(SuperviseError::Protocol(_)) => {}
+                other => panic!("declared {declared}: {:?}", other.map(|(_, p)| p.len())),
+            }
+        }
     }
 
     #[test]

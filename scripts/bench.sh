@@ -12,7 +12,8 @@
 #
 # Usage: scripts/bench.sh [bench-name ...]
 #   With no arguments, runs every bench target (microbench,
-#   executor_scaling, ngram_scoring, revision_cache, supervise). Pass
+#   executor_scaling, ngram_scoring, crash_resume, revision_cache,
+#   supervise). Pass
 #   names to run a subset — the JSON output then covers only that subset.
 #
 # The revision_cache stress cell defaults to a 10M-pair workload; set
@@ -32,7 +33,7 @@ mkdir -p target
 if [ "$#" -gt 0 ]; then
     benches="$*"
 else
-    benches="microbench executor_scaling ngram_scoring revision_cache supervise"
+    benches="microbench executor_scaling ngram_scoring crash_resume revision_cache supervise"
 fi
 
 for name in $benches; do

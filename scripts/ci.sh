@@ -128,7 +128,15 @@ for seed in 11 53; do
     done
 done
 
-# Optional: regenerate BENCH_4.json from the Criterion suite. Off by
+# Benchmark package: perfbench/ is its own cargo package outside the
+# workspace, so the workspace steps above never compile it, yet it drives
+# the same library entry points (batch_job_factory, run_batch_supervised).
+echo "==> perfbench: cargo fmt --check, clippy, selftest"
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+python3 perfbench/selftest.py
+
+# Optional: regenerate BENCH_5.json from the Criterion suite. Off by
 # default because benches dominate CI wall-clock; enable with COACHLM_BENCH=1.
 if [ "${COACHLM_BENCH:-0}" = "1" ]; then
     echo "==> scripts/bench.sh"

@@ -28,9 +28,10 @@
 //! * **`sync_every` tail-loss bound** — after a kill, the worker journal
 //!   on disk trails the parent's received frames by at most `sync_every`
 //!   records, and a same-dir rerun resumes from the journal.
-//! * **Pipeline integration** — `run_batch_supervised` (with a
-//!   worker-side re-trained coach) matches `run_batch_sharded_journaled`
-//!   and recovers across a kill.
+//! * **Pipeline integration** — `run_batch_supervised` (the parent
+//!   trains the coach once and ships its snapshot; workers refuse to
+//!   train) matches `run_batch_sharded_journaled` and recovers across a
+//!   kill.
 //!
 //! `supervise_matrix_cell` is the CI entry point: `scripts/ci.sh` runs it
 //! under `COACHLM_SUPERVISE_SEED` × `COACHLM_SUPERVISE_SHARDS` ×
@@ -145,7 +146,10 @@ fn encode_chaos(seed: u64, threads: u32) -> Vec<u8> {
 }
 
 /// The harness's job factory: the chaos chain plus the real pipeline's
-/// batch chain, so one worker binary serves both test families.
+/// batch chain, so one worker binary serves both test families. Workers
+/// never train: batch params that are a bare spec naming a coach (no
+/// snapshot behind it) are refused, so a supervised run that made its
+/// workers train could not match the in-process gold.
 fn factory(chain: &str, params: &[u8]) -> Option<Box<dyn SupervisedJob>> {
     if chain == CHAOS_CHAIN {
         if params.len() != 12 {
@@ -156,6 +160,9 @@ fn factory(chain: &str, params: &[u8]) -> Option<Box<dyn SupervisedJob>> {
         return Some(Box::new(ChaosJob {
             config: chaos_config(seed, threads),
         }));
+    }
+    if BatchJobSpec::decode(params).is_some_and(|spec| spec.coach.is_some()) {
+        return None;
     }
     batch_job_factory(chain, params)
 }
@@ -546,9 +553,11 @@ fn sync_every_bounds_tail_loss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Pipeline integration: `run_batch_supervised` — worker processes
-/// re-deriving the coach from its training spec — matches the in-process
-/// sharded journaled pipeline and recovers across a worker kill.
+/// Pipeline integration: `run_batch_supervised` — the parent trains the
+/// coach once and every worker attempt, the restarted one included,
+/// decodes its snapshot (the harness factory refuses to train) — matches
+/// the in-process sharded journaled pipeline and recovers across a worker
+/// kill.
 fn run_batch_supervised_matches_sharded() {
     use coachlm::data::generator::{generate, GeneratorConfig};
     let spec = BatchJobSpec {
